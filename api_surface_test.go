@@ -79,13 +79,12 @@ func TestOptionConstructorsCompile(t *testing.T) {
 		WithNullThreshold(0.5),
 		WithNullOptimization(true),
 		WithNullOptimization(false),
-		WithoutNullOptimization(),
 		WithLogicalOptimizations(true, true, false),
 		WithoutLogicalOptimizations(),
 		WithStageFusion(true),
-		WithoutStageFusion(),
+		WithStageFusion(false),
 		WithCompilerOptimizations(true),
-		WithoutCompilerOptimizations(),
+		WithCompilerOptimizations(false),
 		WithSeed(42),
 		WithPartitionRows(1024),
 		WithStreamingIngest(true),

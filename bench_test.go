@@ -320,14 +320,14 @@ func BenchmarkFig11Factors(b *testing.B) {
 		opts []tuplex.Option
 	}{
 		{"unopt", []tuplex.Option{
-			tuplex.WithoutLogicalOptimizations(), tuplex.WithoutStageFusion(),
-			tuplex.WithoutNullOptimization(), tuplex.WithoutCompilerOptimizations()}},
+			tuplex.WithoutLogicalOptimizations(), tuplex.WithStageFusion(false),
+			tuplex.WithNullOptimization(false), tuplex.WithCompilerOptimizations(false)}},
 		{"logical", []tuplex.Option{
-			tuplex.WithoutStageFusion(), tuplex.WithoutNullOptimization(),
-			tuplex.WithoutCompilerOptimizations()}},
+			tuplex.WithStageFusion(false), tuplex.WithNullOptimization(false),
+			tuplex.WithCompilerOptimizations(false)}},
 		{"logical+fusion", []tuplex.Option{
-			tuplex.WithoutNullOptimization(), tuplex.WithoutCompilerOptimizations()}},
-		{"logical+fusion+null", []tuplex.Option{tuplex.WithoutCompilerOptimizations()}},
+			tuplex.WithNullOptimization(false), tuplex.WithCompilerOptimizations(false)}},
+		{"logical+fusion+null", []tuplex.Option{tuplex.WithCompilerOptimizations(false)}},
 		{"all", nil},
 	}
 	for _, cfg := range configs {
@@ -355,7 +355,7 @@ func BenchmarkNullOptimization(b *testing.B) {
 	})
 	b.Run("without-null-opt", func(b *testing.B) {
 		for range b.N {
-			c := tuplex.NewContext(tuplex.WithExecutors(benchParallelism), tuplex.WithoutNullOptimization())
+			c := tuplex.NewContext(tuplex.WithExecutors(benchParallelism), tuplex.WithNullOptimization(false))
 			if _, err := pipelines.Flights(pipelines.FlightsSources(c, benchFlights, benchCarriers, benchAirports)).Collect(); err != nil {
 				b.Fatal(err)
 			}

@@ -73,9 +73,9 @@ func main() {
 	if *noOpt {
 		opts = append(opts,
 			tuplex.WithoutLogicalOptimizations(),
-			tuplex.WithoutStageFusion(),
-			tuplex.WithoutCompilerOptimizations(),
-			tuplex.WithoutNullOptimization())
+			tuplex.WithStageFusion(false),
+			tuplex.WithCompilerOptimizations(false),
+			tuplex.WithNullOptimization(false))
 	}
 	c := tuplex.NewContext(opts...)
 

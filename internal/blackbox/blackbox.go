@@ -20,6 +20,7 @@ package blackbox
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"github.com/gotuplex/tuplex/internal/csvio"
 	"github.com/gotuplex/tuplex/internal/interp"
@@ -93,12 +94,20 @@ type Config struct {
 	// boundary crossing); 0 disables.
 	CExtCost int
 	Seed     uint64
+	// DropFailed drops a row whose UDF raises, counting it in Failed,
+	// instead of aborting the run: the try/except around each row a
+	// script over dirty data needs.
+	DropFailed bool
 }
 
 // Engine executes black-box pipelines.
 type Engine struct {
-	cfg Config
+	cfg    Config
+	failed atomic.Int64
 }
+
+// Failed reports the rows dropped under Config.DropFailed.
+func (e *Engine) Failed() int64 { return e.failed.Load() }
 
 // New returns an engine.
 func New(cfg Config) *Engine {
@@ -261,6 +270,10 @@ func (e *Engine) parallelMap(f *Frame, apply func(w *worker, row []pyvalue.Value
 			var out [][]pyvalue.Value
 			for _, row := range f.Rows[lo:hi] {
 				produced, err := apply(w, row)
+				if err != nil && e.cfg.DropFailed {
+					e.failed.Add(1)
+					continue
+				}
 				if err != nil {
 					errs[wi] = err
 					return

@@ -278,6 +278,10 @@ func (e *Engine) Aggregate(f *Frame, aggSrc, combSrc string, initial pyvalue.Val
 			hi := min(n, lo+chunk)
 			for _, row := range f.Rows[lo:hi] {
 				v, err := w.call(u, []pyvalue.Value{acc, w.rowArg(u, f, row)})
+				if err != nil && e.cfg.DropFailed {
+					e.failed.Add(1)
+					continue
+				}
 				if err != nil {
 					errs[wi] = err
 					return

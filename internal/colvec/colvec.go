@@ -479,17 +479,6 @@ type Batch struct {
 // Slot returns cell (row, col) as an unboxed slot.
 func (b *Batch) Slot(row, col int) rows.Slot { return b.Cols[col].Slot(row) }
 
-// ReadRow gathers row i into buf (batch→row bridge for the exception
-// path, the boxed program, and row-at-a-time op suffixes). buf must
-// have length >= len(b.Cols).
-func (b *Batch) ReadRow(i int, buf rows.Row) rows.Row {
-	out := buf[:len(b.Cols)]
-	for c, v := range b.Cols {
-		out[c] = v.Slot(i)
-	}
-	return out
-}
-
 // GatherRows materializes the selected rows as []rows.Row with a single
 // bulk backing allocation (the columnar collect/materialize terminal).
 // Strings are substrings of each column's sealed buffer.

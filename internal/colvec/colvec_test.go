@@ -167,12 +167,6 @@ func TestBatchBridges(t *testing.T) {
 	}
 	batch := &Batch{Cols: []*Vec{a, b}, N: 4}
 
-	buf := make(rows.Row, 2)
-	row := batch.ReadRow(2, buf)
-	if row[0].I != 20 || row[1].S != "c" {
-		t.Fatalf("ReadRow: %+v", row)
-	}
-
 	sel := []int32{0, 2, 3}
 	got := batch.GatherRows(sel)
 	if len(got) != 3 || got[1][0].I != 20 || got[2][1].S != "d" {

@@ -1,24 +1,23 @@
 package core
 
-// Columnar batch execution (the normal-case data plane over column
-// vectors). CSV and Parallelize source stages compile the maximal
-// prefix of map/filter/withColumn/mapColumn/select/join operators into
-// batch kernels: the generated parser (or the slot-row ingest) appends
-// cells directly onto typed column vectors (internal/colvec), adjacent
-// per-row kernels fuse into one pass over the shared selection vector,
-// joins probe the sharded build table and emit gathered column vectors,
-// and filters shrink the selection instead of copying columns. Operators
-// the kernels cannot batch (uncompiled UDF suffixes) run through the
-// composed row-at-a-time chain via a batch→row bridge at the stage
-// barrier, and exception rows bounce to the pooled boxed path exactly
-// like the row path — output bytes and row accounting are identical by
-// construction (enforced by the columnar differential suites).
+// Columnar batch execution: the one normal-case data plane. Every
+// stage compiles its map/filter/withColumn/mapColumn/select/join
+// operators and its terminal into batch kernels over column vectors
+// (internal/colvec). Ingest appends cells directly onto typed source
+// vectors — the generated CSV parser, one string cell per text line, or
+// slot rows from a Parallelize source or the previous stage's
+// materialization. Adjacent per-row kernels fuse into one pass over the
+// shared selection vector, joins probe the sharded build table and emit
+// gathered column vectors, and filters shrink the selection instead of
+// copying columns. A row that fails classification or raises in a
+// kernel leaves the plane for the pooled exception path (general case,
+// fallback, resolvers; boxed.go).
 //
-// Join fan-out replicates the row path's depth-first abort semantics:
-// the first failure downstream of a join pools the SOURCE row once
-// (unscaled key — resolve replays the whole boxed program from source
-// values) and invalidates the same source's not-yet-processed output
-// rows, while already-emitted earlier matches stay.
+// Join fan-out aborts depth-first: the first failure downstream of a
+// join pools the SOURCE row once (unscaled key — resolve replays the
+// whole boxed program from source values) and invalidates the same
+// source's not-yet-processed output rows, while already-emitted earlier
+// matches stay.
 
 import (
 	"github.com/gotuplex/tuplex/internal/colvec"
@@ -76,22 +75,14 @@ type batchKernel struct {
 // batchProg is a stage's batch plan.
 type batchProg struct {
 	kernels []*batchKernel
-	// groups partitions the kernel prefix into fused passes: runs of
-	// adjacent map/filter/withColumn/mapColumn kernels execute in one
-	// scan over the selection vector; select and join kernels form
-	// singleton groups (they change the column layout / index space).
+	// groups partitions the kernels into fused passes: runs of adjacent
+	// map/filter/withColumn/mapColumn kernels execute in one scan over
+	// the selection vector; select and join kernels form singleton
+	// groups (they change the column layout / index space).
 	groups [][]*batchKernel
-	// suffix is the composed row-at-a-time chain for the operators after
-	// the kernel prefix plus the terminal; nil when the terminal itself is
-	// batch-executable and every operator compiled to a kernel.
-	suffix nstep
-	// barrierIdx is the routing-ledger index of the first suffix op (the
-	// stage barrier rows bounce at); the terminal index when the whole
-	// operator chain compiled to kernels.
-	barrierIdx int32
 }
 
-// fuseKernels partitions the kernel prefix into fused passes and stamps
+// fuseKernels partitions the kernels into fused passes and stamps
 // each kernel's plan index.
 func fuseKernels(kernels []*batchKernel) [][]*batchKernel {
 	var groups [][]*batchKernel
@@ -127,7 +118,7 @@ type batchState struct {
 	sel     []int32
 	sel2    []int32
 	// keys / raws / srcRows are indexed by SOURCE batch position: the
-	// per-record order keys, raw records (parse ingest) and slot rows
+	// per-record order keys, raw records (record ingest) and slot rows
 	// (slot ingest) of the rows that survived classification.
 	keys    []uint64
 	raws    [][]byte
@@ -146,7 +137,7 @@ type batchState struct {
 
 	// dropped marks current-index rows invalidated by a same-source
 	// failure earlier in the pass; pooledSrc marks source rows already
-	// pooled (one pool entry per source row, like the row path's abort).
+	// pooled (one pool entry per source row: its first failure aborts it).
 	dropped, pooledSrc    colvec.Bitmap
 	anyDropped, anyPooled bool
 
@@ -242,7 +233,7 @@ func (bst *batchState) keyOf(r int32) uint64 {
 }
 
 // sourceEx builds the pool entry for source row sr: raw record bytes on
-// the parse path, boxed source values on the slot path. The key is the
+// the record path, boxed source values on the slot path. The key is the
 // SOURCE order key — resolve replays the whole boxed program from source
 // values and rescales per join.
 func (bst *batchState) sourceEx(p int, sr int32, ec ECode, op int32) exRow {
@@ -257,10 +248,9 @@ func (bst *batchState) sourceEx(p int, sr int32, ec ECode, op int32) exRow {
 
 // failBatchRow handles a normal-path failure at current-index row r:
 // pool the source row once and invalidate the same source's later
-// output rows (the row path aborts the whole source row depth-first at
-// its first failure; earlier emitted matches stay). Returns 1 iff a new
-// pool entry was made, mirroring the row path's one exception per
-// source row.
+// output rows (a source row aborts depth-first at its first failure;
+// earlier emitted matches stay). Returns 1 iff a new pool entry was
+// made: one normal-path exception per source row.
 func (cs *compiledStage) failBatchRow(ts *task, bst *batchState, p int, r int32, ec ECode, op int32) int64 {
 	sr := bst.srcOf(r)
 	if bst.srcIdx != nil {
@@ -283,29 +273,30 @@ func (cs *compiledStage) failBatchRow(ts *task, bst *batchState, p int, r int32,
 	return 1
 }
 
-// runRecordsColumnar is runRecords on the batch plan: identical order
-// keys, pool entries, counters and routing ledger arithmetic, with the
-// per-row parse/step/render work replaced by per-batch vector loops.
-func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
+// runRecords feeds raw source records through the batch plan with
+// order keys baseKey+i: CSV records parse straight into the source
+// vectors, text lines become one string cell each. Rejected records
+// pool with their raw bytes. Counters accumulate locally and flush once
+// per call — atomics per row would dominate tight loops. copyRaw
+// detaches pooled exception rows from the record storage (required
+// when records alias a reusable chunk buffer).
+func (cs *compiledStage) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
 	bst := cs.getBatchState(ts)
 	var input, rejects, normalExc int64
 
 	for start := 0; start < len(recs); start += batchMaxRows {
-		end := start + batchMaxRows
-		if end > len(recs) {
-			end = len(recs)
-		}
+		end := min(start+batchMaxRows, len(recs))
 		sub := recs[start:end]
 		input += int64(len(sub))
 
-		// Parse straight into the source vectors; rejected records pool
-		// with their raw bytes, exactly like the row path.
 		bst.beginBatch()
 		bst.srcRows = nil
 		bst.raws = bst.raws[:0]
 		for i, rec := range sub {
 			key := baseKey + uint64(start+i)
-			if ec := cs.parse.ParseLineVecs(rec, bst.src); ec != 0 {
+			if cs.isText {
+				bst.src[0].AppendStrBytes(rec)
+			} else if ec := cs.parse.ParseLineVecs(rec, bst.src); ec != 0 {
 				rejects++
 				ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
 				continue
@@ -316,19 +307,7 @@ func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, base
 		normalExc += cs.runBatchBody(ts, bst, p)
 	}
 
-	normal := input - rejects - normalExc
-	c := &ts.eng.res.Metrics.Counters
-	c.InputRows.Add(input)
-	c.ClassifierRejects.Add(rejects)
-	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
-	ts.inRows += input
-	if ts.route != nil {
-		ts.route[0] += input
-		ts.routeExc[0] += rejects
-	}
-	ts.flushProbeCounters()
-	ts.flushBatchCounters()
+	cs.flushPartition(ts, input, rejects, normalExc)
 	if copyRaw {
 		for i := range ts.pool {
 			if ts.pool[i].raw != nil {
@@ -340,46 +319,55 @@ func (cs *compiledStage) runRecordsColumnar(ts *task, p int, recs [][]byte, base
 	return nil
 }
 
-// runSlotsColumnar is the batch plan over a slot-native Parallelize
-// source: conforming rows ingest straight into the source vectors (no
-// boxing); non-conforming rows pool boxed like the row path.
-func (cs *compiledStage) runSlotsColumnar(ts *task, p int) error {
+// runSlots feeds slot rows through the batch plan: a Parallelize
+// source's rows (order keys baseKey+i; rows that do not match the
+// normal schema pool boxed as classifier rejects) or a materialized
+// stage input (order keys from keys; the previous stage produced every
+// row in this stage's input schema).
+func (cs *compiledStage) runSlots(ts *task, p int, in []rows.Row, keys []uint64, baseKey uint64) error {
 	bst := cs.getBatchState(ts)
-	rg := cs.partRanges[p]
+	classify := keys == nil
 	var input, rejects, normalExc int64
 
-	for start := rg[0]; start < rg[1]; start += batchMaxRows {
-		end := start + batchMaxRows
-		if end > rg[1] {
-			end = rg[1]
-		}
+	for start := 0; start < len(in); start += batchMaxRows {
+		end := min(start+batchMaxRows, len(in))
 		input += int64(end - start)
 
 		bst.beginBatch()
 		bst.raws = nil
 		bst.srcRows = bst.srcRows[:0]
 		for i := start; i < end; i++ {
-			src := cs.inputSlots[i]
-			if !rowConforms(src, cs.inSchema) {
+			src := in[i]
+			key := baseKey + uint64(i)
+			if !classify {
+				key = keys[i]
+			} else if !rowConforms(src, cs.inSchema) {
 				rejects++
-				ts.pool = append(ts.pool, exRow{part: p, key: uint64(i), vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
+				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
 				continue
 			}
 			for c, v := range bst.src {
 				v.AppendSlot(src[c])
 			}
-			bst.keys = append(bst.keys, uint64(i))
+			bst.keys = append(bst.keys, key)
 			bst.srcRows = append(bst.srcRows, src)
 		}
 		normalExc += cs.runBatchBody(ts, bst, p)
 	}
 
-	normal := input - rejects - normalExc
+	cs.flushPartition(ts, input, rejects, normalExc)
+	cs.putBatchState(ts)
+	return nil
+}
+
+// flushPartition publishes one run-partition call's row accounting and
+// drains the task-local probe and batch-plane tallies.
+func (cs *compiledStage) flushPartition(ts *task, input, rejects, normalExc int64) {
 	c := &ts.eng.res.Metrics.Counters
 	c.InputRows.Add(input)
 	c.ClassifierRejects.Add(rejects)
 	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
+	c.NormalRows.Add(input - rejects - normalExc)
 	ts.inRows += input
 	if ts.route != nil {
 		ts.route[0] += input
@@ -387,13 +375,11 @@ func (cs *compiledStage) runSlotsColumnar(ts *task, p int) error {
 	}
 	ts.flushProbeCounters()
 	ts.flushBatchCounters()
-	cs.putBatchState(ts)
-	return nil
 }
 
-// runBatchBody executes the kernel groups and the terminal (or the
-// row-bridge suffix) over one ingested batch. Returns the normal-path
-// exception count (one per failed source row).
+// runBatchBody executes the kernel groups and the terminal over one
+// ingested batch. Returns the normal-path exception count (one per
+// failed source row).
 func (cs *compiledStage) runBatchBody(ts *task, bst *batchState, p int) int64 {
 	bp := cs.batch
 	n := len(bst.keys)
@@ -425,42 +411,24 @@ func (cs *compiledStage) runBatchBody(ts *task, bst *batchState, p int) int64 {
 	}
 	ts.columnarRows += int64(len(bst.sel))
 
-	if bp.suffix == nil {
-		switch {
-		case cs.sinkCSV:
-			if ts.route != nil {
-				ts.route[cs.termRouteIdx] += int64(len(bst.sel))
-			}
-			cs.renderBatchCSV(ts, bst)
-		case cs.terminal == physical.TerminalUnique:
-			if ts.route != nil {
-				ts.route[cs.termRouteIdx] += int64(len(bst.sel))
-			}
-			cs.uniqueBatch(ts, bst)
-		case cs.terminal == physical.TerminalAggregate:
-			normalExc += cs.aggregateBatch(ts, bst, p)
-		default:
-			if ts.route != nil {
-				ts.route[cs.termRouteIdx] += int64(len(bst.sel))
-			}
-			cs.gatherBatch(ts, bst)
+	switch {
+	case cs.sinkCSV:
+		if ts.route != nil {
+			ts.route[cs.termRouteIdx] += int64(len(bst.sel))
 		}
-	} else {
-		// The stage barrier: bounce the surviving rows to the composed
-		// row-at-a-time suffix (its routeWrap counters take over).
-		for _, r := range bst.sel {
-			if bst.anyDropped && bst.dropped.Get(int(r)) {
-				continue
-			}
-			ts.bounced++
-			row := ts.rowBuf[:len(bst.cols)]
-			for c, v := range bst.cols {
-				row[c] = v.Slot(int(r))
-			}
-			if ec := bp.suffix(ts, bst.keyOf(r), row); ec != 0 {
-				normalExc += cs.failBatchRow(ts, bst, p, r, ec, ts.excOp)
-			}
+		cs.renderBatchCSV(ts, bst)
+	case cs.terminal == physical.TerminalUnique:
+		if ts.route != nil {
+			ts.route[cs.termRouteIdx] += int64(len(bst.sel))
 		}
+		cs.uniqueBatch(ts, bst)
+	case cs.terminal == physical.TerminalAggregate:
+		normalExc += cs.aggregateBatch(ts, bst, p)
+	default:
+		if ts.route != nil {
+			ts.route[cs.termRouteIdx] += int64(len(bst.sel))
+		}
+		cs.gatherBatch(ts, bst)
 	}
 	return normalExc
 }
@@ -550,6 +518,7 @@ func (cs *compiledStage) argAccessor(ts *task, bst *batchState, k *batchKernel, 
 // runGroup executes one fused pass: every kernel in the group runs over
 // each live row in a single scan of the selection vector, with per-row
 // filter short-circuits and the shared drop/pool failure protocol.
+//
 //tuplex:kernel
 func (cs *compiledStage) runGroup(ts *task, bst *batchState, group []*batchKernel, p int) int64 {
 	n := bst.n
@@ -629,8 +598,9 @@ rowLoop:
 // runJoinKernel probes the sharded build table for each live row and
 // emits the join output as gathered column vectors, remapping the
 // batch's index space to the fan-out output (srcIdx tracks each output
-// row's source; outKeys carries the key*256+sub order keys the row path
-// produces).
+// row's source; outKeys carries the key*256+sub order keys that the
+// exception path's resolved rows also use).
+//
 //tuplex:kernel
 func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel, p int) int64 {
 	bt := k.join
@@ -719,6 +689,7 @@ func (cs *compiledStage) runJoinKernel(ts *task, bst *batchState, k *batchKernel
 // the kernel's input view: the row tuple with only the accessed (and
 // guarded) columns filled — unread positions keep stale slots that the
 // compiled body never loads.
+//
 //tuplex:kernel
 func gatherArgView(k *batchKernel, view []*colvec.Vec, bst *batchState, r int) rows.Slot {
 	row := bst.argBuf[:k.inCols]
@@ -734,7 +705,9 @@ func gatherArgView(k *batchKernel, view []*colvec.Vec, bst *batchState, r int) r
 	return rows.Tuple(row)
 }
 
-// callKernelUDF is callNormalUDF with the argument already gathered.
+// callKernelUDF invokes a kernel's compiled UDF on a gathered argument;
+// a UDF without a normal-case form raises ExcUnsupported, sending the
+// row to the exception path.
 func callKernelUDF(ts *task, su *stageUDF, arg rows.Slot) (rows.Slot, ECode) {
 	if su.compiled == nil {
 		return rows.Slot{}, pyvalue.ExcUnsupported
@@ -745,6 +718,7 @@ func callKernelUDF(ts *task, su *stageUDF, arg rows.Slot) (rows.Slot, ECode) {
 // renderBatchCSV renders the live rows straight from the vectors into
 // the task's CSV writer — no row materialization, no per-cell strings.
 // Columns the batch proves all-valid skip the per-cell null check.
+//
 //tuplex:kernel
 func (cs *compiledStage) renderBatchCSV(ts *task, bst *batchState) {
 	w := ts.csvW
@@ -789,8 +763,10 @@ func (cs *compiledStage) renderBatchCSV(ts *task, bst *batchState) {
 }
 
 // uniqueBatch feeds the live rows into the task's open distinct set (the
-// columnar unique terminal — same encoded row keys and insertion order
-// as the row path's terminal step).
+// unique terminal): duplicate rows cost one hash lookup over their
+// encoded row key and no allocation; the sets merge shard-parallel at
+// finish (mergeUnique).
+//
 //tuplex:kernel
 func (cs *compiledStage) uniqueBatch(ts *task, bst *batchState) {
 	for _, r := range bst.sel {
@@ -807,6 +783,7 @@ func (cs *compiledStage) uniqueBatch(ts *task, bst *batchState) {
 // aggregateBatch folds the live rows into the task's accumulator slot
 // (the columnar aggregate terminal); failures pool the source row like
 // every other batch step.
+//
 //tuplex:kernel
 func (cs *compiledStage) aggregateBatch(ts *task, bst *batchState, p int) int64 {
 	su := cs.aggUDF

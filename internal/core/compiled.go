@@ -14,15 +14,15 @@ import (
 )
 
 // CompiledPlan is a reusable compilation artifact: the sampled normal
-// case, the generated per-stage closures, the columnar batch plans and
-// the join build tables of one completed run, detached from that run's
+// case, the compiled UDFs, the columnar batch plans and the join build
+// tables of one completed run, detached from that run's
 // mutable state. Re-executing it skips sampling, type inference,
 // dataflow analysis and code generation — the amortization a long-lived
 // service needs (Tupleware's "distributed shared jobs"; ROADMAP item 2).
 //
 // A CompiledPlan is immutable after construction and safe for
-// concurrent Execute calls: compile-time artifacts (entry chains, batch
-// programs, build tables, codegen UDFs) are shared read-only, while
+// concurrent Execute calls: compile-time artifacts (batch programs,
+// build tables, codegen UDFs) are shared read-only, while
 // per-run state (tasks, exception pools, boxed interpreters, routing
 // ledgers, source bindings) is cloned per call.
 //
@@ -85,8 +85,8 @@ func (cp *CompiledPlan) Kind() SinkKind { return cp.kind }
 
 // Execute re-runs the compiled plan against its sources under ctx,
 // skipping the sample/compile phases entirely. The run uses the options
-// the plan was compiled with (partitioning, streaming and columnar
-// choices are baked into the compiled artifacts); csvPath optionally
+// the plan was compiled with (partitioning and streaming choices are
+// baked into the compiled artifacts); csvPath optionally
 // redirects a CSV sink to a file, exactly like Execute's parameter.
 func (cp *CompiledPlan) Execute(ctx context.Context, csvPath string) (*Result, error) {
 	return cp.ExecuteLabeled(ctx, csvPath, "")
@@ -169,7 +169,6 @@ func (tpl *stageTemplate) cloneForRun(eng *engine) *compiledStage {
 
 		parse:      t.parse,
 		isText:     t.isText,
-		nFields:    t.nFields,
 		boxedInput: t.boxedInput,
 		inputSlots: t.inputSlots,
 		partRanges: t.partRanges,
@@ -179,7 +178,6 @@ func (tpl *stageTemplate) cloneForRun(eng *engine) *compiledStage {
 		nullValues: t.nullValues,
 		srcFacts:   t.srcFacts,
 
-		entry:   t.entry,
 		batch:   t.batch,
 		maxCols: t.maxCols,
 		nUDFs:   t.nUDFs,
@@ -213,7 +211,7 @@ func (tpl *stageTemplate) cloneForRun(eng *engine) *compiledStage {
 		}
 	}
 	if t.aggUDF != nil {
-		// The terminal's compiled aggregate closure reads only
+		// The aggregate kernel reads only
 		// su.compiled/su.frameIdx (shared-safe); the boxed form holds an
 		// interpreter and must be private.
 		su := *t.aggUDF

@@ -60,12 +60,6 @@ type Options struct {
 	// (§4.4): disk I/O, record splitting, parsing and UDF execution
 	// overlap instead of materializing the whole input up front.
 	Streaming bool
-	// Columnar enables batch execution over column vectors for CSV
-	// sources: the generated parser fills typed column vectors directly
-	// and map/filter/withColumn/select run as batch kernels with
-	// selection vectors (the row-at-a-time path remains for exception
-	// rows, later operators and non-CSV sources).
-	Columnar bool
 	// ChunkSize is the streamed ingest chunk size in bytes (0 uses
 	// csvio.DefaultChunkSize).
 	ChunkSize int
@@ -94,7 +88,6 @@ func DefaultOptions() Options {
 		Codegen:       codegen.DefaultOptions(),
 		Seed:          0x745,
 		Streaming:     true,
-		Columnar:      true,
 		ChunkSize:     csvio.DefaultChunkSize,
 		Trace:         trace.LevelSpans,
 	}
@@ -142,8 +135,8 @@ type Result struct {
 	// the per-cell interface allocations a [][]pyvalue.Value forces).
 	SlotRows []rows.Row
 	CSV      []byte
-	Failed  []FailedRow
-	Metrics *metrics.Metrics
+	Failed   []FailedRow
+	Metrics  *metrics.Metrics
 	// Trace is the run's observability trace (nil when Options.Trace is
 	// trace.LevelOff).
 	Trace *trace.Trace
@@ -173,7 +166,7 @@ func ExecuteContext(ctx context.Context, sinkNode *logical.Node, kind SinkKind, 
 
 // CompileAndExecute runs the plan like ExecuteContext and additionally
 // captures the compiled stages into a CompiledPlan: the sampled normal
-// case, the generated stage closures, the batch plans and the join build
+// case, the compiled UDFs, the batch plans and the join build
 // tables survive the run and can be re-executed against fresh inputs
 // with (*CompiledPlan).Execute, skipping sampling and compilation.
 func CompileAndExecute(ctx context.Context, sinkNode *logical.Node, kind SinkKind, csvPath string, opts Options) (*Result, *CompiledPlan, error) {
@@ -384,7 +377,7 @@ func (eng *engine) execAndResolve(cs *compiledStage, ssp *trace.Span) (*mat, err
 	bytes0 := eng.res.Metrics.Ingest.BytesRead.Load()
 	rows0 := eng.res.Metrics.Counters.InputRows.Load()
 	bm := &eng.res.Metrics.Batch
-	columnar0, bounced0 := bm.ColumnarRows.Load(), bm.BouncedRows.Load()
+	columnar0 := bm.ColumnarRows.Load()
 	fused0, elided0, checked0 := bm.FusedPasses.Load(), bm.NullElisions.Load(), bm.NullChecked.Load()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
@@ -403,12 +396,11 @@ func (eng *engine) execAndResolve(cs *compiledStage, ssp *trace.Span) (*mat, err
 		Allocs:   int64(ms.Mallocs - mallocs0),
 		Duration: dExec,
 	})
-	// Stage-delta batch-plane attrs: how much of this stage ran
-	// column-at-a-time, how much bounced to the row bridge, and whether
-	// the no-null kernel variants kicked in.
+	// Stage-delta batch-plane attrs: how many rows completed the
+	// stage's kernels, how many fused passes ran, and whether the
+	// no-null kernel variants kicked in.
 	if columnar := bm.ColumnarRows.Load() - columnar0; columnar > 0 {
 		esp.Add(trace.Int("columnar_rows", columnar),
-			trace.Int("bounced_rows", bm.BouncedRows.Load()-bounced0),
 			trace.Int("fused_passes", bm.FusedPasses.Load()-fused0),
 			trace.Int("null_elisions", bm.NullElisions.Load()-elided0),
 			trace.Int("null_checked", bm.NullChecked.Load()-checked0))
@@ -585,6 +577,18 @@ func (eng *engine) finish(out *mat, kind SinkKind, csvPath string, res *Result) 
 		res.SlotRows = merged
 		return nil
 	case SinkCSV:
+		if !out.isCSV {
+			// The final stage ended in a unique terminal, so its rows
+			// are materialized rather than rendered by the tasks.
+			w := newCSVWriterFor(out.schema)
+			merged := eng.mergeOrderedSlots(out)
+			for _, r := range merged {
+				w.WriteRow(r)
+			}
+			eng.res.Metrics.Counters.OutputRows.Add(int64(len(merged)))
+			res.CSV = w.Take()
+			return eng.writeCSV(res.CSV, csvPath)
+		}
 		// Rows were rendered inside the partition tasks; stitch buffers
 		// per partition in parallel (splicing exception-path rows into
 		// position where needed), then concatenate in partition order.
@@ -638,15 +642,21 @@ func (eng *engine) finish(out *mat, kind SinkKind, csvPath string, res *Result) 
 		}
 		eng.res.Metrics.Counters.OutputRows.Add(n)
 		res.CSV = w.Take()
-		if csvPath != "" {
-			if err := os.WriteFile(csvPath, res.CSV, 0o644); err != nil {
-				return fmt.Errorf("core: writing %s: %w", csvPath, err)
-			}
-		}
-		return nil
+		return eng.writeCSV(res.CSV, csvPath)
 	default:
 		return fmt.Errorf("core: unknown sink kind %d", kind)
 	}
+}
+
+// writeCSV writes rendered CSV to csvPath ("" keeps it in memory only).
+func (eng *engine) writeCSV(csv []byte, csvPath string) error {
+	if csvPath == "" {
+		return nil
+	}
+	if err := os.WriteFile(csvPath, csv, 0o644); err != nil {
+		return fmt.Errorf("core: writing %s: %w", csvPath, err)
+	}
+	return nil
 }
 
 // mergeOrderedSlots merges normal and exception-resolved rows back into

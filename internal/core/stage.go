@@ -46,11 +46,6 @@ func putCSVBuf(b []byte) {
 	csvBufPool.Put(&b)
 }
 
-// nstep is one compiled normal-path step (push model: each step calls
-// the next; a nonzero return code aborts the row, which the driver then
-// pools).
-type nstep func(ts *task, key uint64, row rows.Row) ECode
-
 // opHandlers are the resolvers/ignores attached to one UDF operator.
 type opHandlers struct {
 	resolvers []resolverSpec
@@ -73,9 +68,8 @@ type compiledStage struct {
 	stream     *streamSource // chunked ingest for file-backed sources
 	parse      *csvio.ParseSpec
 	isText     bool
-	nFields    int               // projected parser field count (source stages)
-	boxedInput *mat        // input materialization for non-source stages
-	inputSlots []rows.Row  // parallelize source (unboxed slot rows)
+	boxedInput *mat       // input materialization for non-source stages
+	inputSlots []rows.Row // parallelize source (unboxed slot rows)
 	partRanges [][2]int
 
 	inSchema   *types.Schema
@@ -86,9 +80,8 @@ type compiledStage struct {
 	// for sources that sample values. Nil means type facts only.
 	srcFacts []dataflow.ColFact
 
-	entry nstep // head of the compiled normal path
-	// batch is the stage's columnar plan (CSV sources with Columnar on);
-	// runRecords dispatches to it instead of the per-row entry chain.
+	// batch is the stage's normal-case plan: every operator and the
+	// terminal compiled to batch kernels over column vectors.
 	batch   *batchProg
 	maxCols int
 	nUDFs   int
@@ -150,26 +143,21 @@ type task struct {
 	cs   *compiledStage
 	part int
 
-	frames  []*codegen.Frame
-	scratch [][]rows.Slot
-	rowBuf  []rows.Slot
+	frames []*codegen.Frame
+	rowBuf []rows.Slot
 	// keyBuf is the reusable scratch buffer for hash-key encodings (join
 	// probes, unique terminal) — the hot paths never allocate per row.
 	keyBuf []byte
 
 	outRows []rows.Row
 	outKeys []uint64
-	// outSlab backs materialized outRows: rows append here and slice
-	// capped views out, so the collect sink costs one amortized slab
-	// per task instead of one allocation per row.
-	outSlab []rows.Slot
 	pool    []exRow
 
 	// streaming CSV sink state
 	csvW     *csvio.Writer
 	lineEnds []int
 
-	// bst is the lazily-created columnar batch memory (batch stages only).
+	// bst is the task's batch memory, taken from the stage pool.
 	bst *batchState
 
 	aggSlot rows.Slot
@@ -181,14 +169,11 @@ type task struct {
 	// per-task counters (atomics per probe would dominate tight loops).
 	probeHits, probeMisses int64
 
-	// Batch-plane counters (columnar stages only). columnarRows counts
-	// rows that completed the kernel prefix in vector form; bounced
-	// counts rows handed to the row-at-a-time suffix at the stage
-	// barrier; fusedPasses counts fused-group scans over a batch;
-	// nullElided/nullChecked count batch-column dispatches that did /
-	// did not take the no-null inner loop.
-	columnarRows, bounced   int64
-	bouncedFlushed          int64
+	// Batch-plane counters. columnarRows counts rows that completed the
+	// stage's kernels in vector form; fusedPasses counts fused-group
+	// scans over a batch; nullElided/nullChecked count batch-column
+	// dispatches that did / did not take the no-null inner loop.
+	columnarRows            int64
 	fusedPasses             int64
 	nullElided, nullChecked int64
 
@@ -196,16 +181,13 @@ type task struct {
 	// task timings (filled only when the tracer is on). route/routeExc
 	// are the task's routing-ledger counters, indexed like cs.opNames
 	// (nil below trace.LevelRows — the default path carries none of
-	// this). excOp is the ledger index of the operator that raised the
-	// current row's normal-path exception; every raise site stores it,
-	// so it is valid exactly when the entry chain returns nonzero.
-	worker int
-	start  time.Time
-	dur    time.Duration
-	inRows int64
+	// this).
+	worker   int
+	start    time.Time
+	dur      time.Duration
+	inRows   int64
 	route    []int64
 	routeExc []int64
-	excOp    int32
 }
 
 func (cs *compiledStage) numPartitions() int { return len(cs.partRanges) }
@@ -217,7 +199,6 @@ func (cs *compiledStage) newTask(eng *engine, part int) *task {
 		ts.frames[i] = codegen.NewFrame(8)
 		ts.frames[i].Rand = pyre.NewPRNG(eng.opts.Seed + uint64(part)*1000003 + uint64(i))
 	}
-	ts.scratch = make([][]rows.Slot, cs.nUDFs+4)
 	ts.rowBuf = make([]rows.Slot, 0, cs.maxCols)
 	ts.keyBuf = make([]byte, 0, 64)
 	if cs.terminal == physical.TerminalUnique {
@@ -237,17 +218,6 @@ func (cs *compiledStage) newTask(eng *engine, part int) *task {
 	return ts
 }
 
-// routeWrap counts rows entering the wrapped step into the task's
-// routing ledger. Wrappers are composed into the chain only at
-// trace.LevelRows and above, so the default normal path is exactly the
-// uninstrumented one.
-func routeWrap(next nstep, ridx int32) nstep {
-	return func(ts *task, key uint64, row rows.Row) ECode {
-		ts.route[ridx]++
-		return next(ts, key, row)
-	}
-}
-
 // mergedRouting folds the per-task ledger counters and the boxed-path
 // atomics into the stage ledger. Called serially after workers join.
 func (cs *compiledStage) mergedRouting() []trace.OpRouting {
@@ -263,12 +233,6 @@ func (cs *compiledStage) mergedRouting() []trace.OpRouting {
 			out[i].NormalIn += ts.route[i]
 			out[i].NormalExc += ts.routeExc[i]
 		}
-		// Rows that fell off the kernel prefix at the stage barrier are
-		// attributed to the barrier op itself, not folded into the
-		// generic boxed counters.
-		if cs.batch != nil && cs.batch.suffix != nil && int(cs.batch.barrierIdx) < len(out) {
-			out[cs.batch.barrierIdx].Bounced += ts.bounced
-		}
 	}
 	for oi, bop := range cs.boxed {
 		if bop.stats == nil {
@@ -280,126 +244,20 @@ func (cs *compiledStage) mergedRouting() []trace.OpRouting {
 	return out
 }
 
-// runRecords feeds raw source records through the normal path with
-// order keys baseKey+i. Counters accumulate locally and flush once per
-// call — atomics per row would dominate tight loops. copyRaw detaches
-// pooled exception rows from the record storage (required when records
-// alias a reusable chunk buffer).
-func (cs *compiledStage) runRecords(ts *task, p int, recs [][]byte, baseKey uint64, copyRaw bool) error {
-	if cs.batch != nil {
-		return cs.runRecordsColumnar(ts, p, recs, baseKey, copyRaw)
-	}
-	var input, rejects, normalExc, normal int64
-	for i, rec := range recs {
-		key := baseKey + uint64(i)
-		input++
-		var row rows.Row
-		var ec ECode
-		if cs.isText {
-			row = ts.rowBuf[:1]
-			row[0] = rows.Str(string(rec))
-		} else {
-			row = ts.rowBuf[:cs.nFields]
-			ec = cs.parse.ParseLine(rec, row)
-		}
-		if ec != 0 {
-			rejects++
-			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec})
-			continue
-		}
-		if ec = cs.entry(ts, key, row); ec != 0 {
-			normalExc++
-			ts.pool = append(ts.pool, exRow{part: p, key: key, raw: rec, ec: ec, op: ts.excOp})
-			if ts.routeExc != nil {
-				ts.routeExc[ts.excOp]++
-			}
-			continue
-		}
-		normal++
-	}
-	c := &ts.eng.res.Metrics.Counters
-	c.InputRows.Add(input)
-	c.ClassifierRejects.Add(rejects)
-	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
-	ts.inRows += input
-	if ts.route != nil {
-		ts.route[0] += input
-		ts.routeExc[0] += rejects
-	}
-	ts.flushProbeCounters()
-	if copyRaw {
-		for i := range ts.pool {
-			if ts.pool[i].raw != nil {
-				ts.pool[i].raw = append([]byte(nil), ts.pool[i].raw...)
-			}
-		}
-	}
-	return nil
-}
-
-// runPartition feeds a materialized partition's rows through the normal
-// path.
+// runPartition feeds a materialized partition through the batch plan:
+// records of an inline or materialized file source, a Parallelize
+// source's slot rows (classified against the normal schema), or the
+// previous stage's rows with their own order keys.
 func (cs *compiledStage) runPartition(ts *task, p int) error {
 	r := cs.partRanges[p]
-	if cs.records != nil {
-		return cs.runRecords(ts, p, cs.records[r[0]:r[1]], uint64(r[0]), false)
-	}
-	if cs.inputSlots != nil && cs.batch != nil {
-		return cs.runSlotsColumnar(ts, p)
-	}
-	var input, rejects, normalExc, normal int64
 	switch {
+	case cs.records != nil:
+		return cs.runRecords(ts, p, cs.records[r[0]:r[1]], uint64(r[0]), false)
 	case cs.inputSlots != nil:
-		for i := r[0]; i < r[1]; i++ {
-			key := uint64(i)
-			input++
-			src := cs.inputSlots[i]
-			if !rowConforms(src, cs.inSchema) {
-				rejects++
-				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: pyvalue.ExcBadParse})
-				continue
-			}
-			row := append(ts.rowBuf[:0], src...)
-			if ec := cs.entry(ts, key, row); ec != 0 {
-				normalExc++
-				ts.pool = append(ts.pool, exRow{part: p, key: key, vals: rows.RowToValues(src), ec: ec, op: ts.excOp})
-				if ts.routeExc != nil {
-					ts.routeExc[ts.excOp]++
-				}
-				continue
-			}
-			normal++
-		}
+		return cs.runSlots(ts, p, cs.inputSlots[r[0]:r[1]], nil, uint64(r[0]))
 	default:
-		in := cs.boxedInput
-		rowsP, keysP := in.parts[p], in.keys[p]
-		for i := range rowsP {
-			input++
-			row := append(ts.rowBuf[:0], rowsP[i]...)
-			if ec := cs.entry(ts, keysP[i], row); ec != 0 {
-				normalExc++
-				ts.pool = append(ts.pool, exRow{part: p, key: keysP[i], vals: rows.RowToValues(rowsP[i]), ec: ec, op: ts.excOp})
-				if ts.routeExc != nil {
-					ts.routeExc[ts.excOp]++
-				}
-				continue
-			}
-			normal++
-		}
+		return cs.runSlots(ts, p, cs.boxedInput.parts[p], cs.boxedInput.keys[p], 0)
 	}
-	c := &ts.eng.res.Metrics.Counters
-	c.InputRows.Add(input)
-	c.ClassifierRejects.Add(rejects)
-	c.NormalPathExceptions.Add(normalExc)
-	c.NormalRows.Add(normal)
-	ts.inRows += input
-	if ts.route != nil {
-		ts.route[0] += input
-		ts.routeExc[0] += rejects
-	}
-	ts.flushProbeCounters()
-	return nil
 }
 
 // flushProbeCounters drains the task-local join probe tallies into the
@@ -416,16 +274,12 @@ func (ts *task) flushProbeCounters() {
 
 // flushBatchCounters drains the task-local batch-plane tallies into the
 // shared metrics (called once per run-partition call, like the probe
-// counters; ts.bounced stays live for the routing-ledger merge).
+// counters).
 func (ts *task) flushBatchCounters() {
 	bm := &ts.eng.res.Metrics.Batch
 	if ts.columnarRows != 0 {
 		bm.ColumnarRows.Add(ts.columnarRows)
 		ts.columnarRows = 0
-	}
-	if d := ts.bounced - ts.bouncedFlushed; d != 0 {
-		bm.BouncedRows.Add(d)
-		ts.bouncedFlushed = ts.bounced
 	}
 	if ts.fusedPasses != 0 {
 		bm.FusedPasses.Add(ts.fusedPasses)
@@ -498,16 +352,8 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 		}
 	}
 
-	// Walk ops: compute schemas, compile UDFs, build step compilers.
-	type compiledOp struct {
-		make func(next nstep) nstep
-		// ridx is the op's routing-ledger index.
-		ridx int32
-		// batch is the op's columnar kernel (nil = not batch-compilable;
-		// the kernel prefix ends at the first nil).
-		batch *batchKernel
-	}
-	var nops []compiledOp
+	// Walk ops: compute schemas, compile UDFs, build batch kernels.
+	var kernels []*batchKernel
 	schema := cs.inSchema
 	cs.maxCols = schema.Len()
 	frameIdx := 0
@@ -540,39 +386,12 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			bop := &boxedOp{kind: bOpMap, udf: su.boxed, handlers: h, inSchema: schema, outSchema: outSchema, scalar: scalar}
 			cs.boxed = append(cs.boxed, bop)
 			lastHandlers = h
-			inIdx := 0 // scalar single-column index
-			nCols := outSchema.Len()
-			scratchIdx := su.frameIdx
 			outTs := make([]types.Type, outSchema.Len())
 			for i := range outTs {
 				outTs[i] = outSchema.Col(i).Type
 			}
-			bk := &batchKernel{kind: bkMap, su: su, ridx: ridx, scalar: scalar, colIdx: inIdx,
-				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: outTs}
-			nops = append(nops, compiledOp{ridx: ridx, batch: bk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, inIdx, scalar)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					out := ts.opScratch(scratchIdx, cs.maxCols)
-					switch {
-					case len(v.Seq) > 0 && (v.Tag == types.KindDict || v.Tag == types.KindTuple):
-						if len(v.Seq) != nCols {
-							ts.excOp = ridx
-							return pyvalue.ExcUnsupported
-						}
-						out = append(out, v.Seq...)
-					case nCols == 1:
-						out = append(out, v)
-					default:
-						ts.excOp = ridx
-						return pyvalue.ExcUnsupported
-					}
-					return next(ts, key, out)
-				}
-			}})
+			kernels = append(kernels, &batchKernel{kind: bkMap, su: su, ridx: ridx, scalar: scalar,
+				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: outTs})
 			schema = outSchema
 			colFacts = typeColFacts(outSchema)
 			if schema.Len() > cs.maxCols {
@@ -591,21 +410,8 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			h := &opHandlers{}
 			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpFilter, udf: su.boxed, handlers: h, inSchema: schema, scalar: scalar})
 			lastHandlers = h
-			fbk := &batchKernel{kind: bkFilter, su: su, ridx: ridx, scalar: scalar,
-				inCols: schema.Len(), argCols: kernelArgCols(su, schema)}
-			nops = append(nops, compiledOp{ridx: ridx, batch: fbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, 0, scalar)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					if !v.Truth() {
-						return 0
-					}
-					return next(ts, key, row)
-				}
-			}})
+			kernels = append(kernels, &batchKernel{kind: bkFilter, su: su, ridx: ridx, scalar: scalar,
+				inCols: schema.Len(), argCols: kernelArgCols(su, schema)})
 
 		case *logical.WithColumnOp:
 			scalar, paramT := paramStyle(op.UDF, schema)
@@ -624,23 +430,8 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			h := &opHandlers{}
 			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpWithColumn, udf: su.boxed, handlers: h, inSchema: schema, col: op.Col, colIdx: replaceIdx, scalar: scalar})
 			lastHandlers = h
-			wbk := &batchKernel{kind: bkWithColumn, su: su, ridx: ridx, scalar: scalar, colIdx: replaceIdx,
-				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: []types.Type{retT}}
-			nops = append(nops, compiledOp{ridx: ridx, batch: wbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, 0, scalar)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					if replaceIdx >= 0 {
-						row[replaceIdx] = v
-					} else {
-						row = append(row, v)
-					}
-					return next(ts, key, row)
-				}
-			}})
+			kernels = append(kernels, &batchKernel{kind: bkWithColumn, su: su, ridx: ridx, scalar: scalar, colIdx: replaceIdx,
+				inCols: schema.Len(), argCols: kernelArgCols(su, schema), outTypes: []types.Type{retT}})
 			schema = schema.WithColumn(op.Col, retT)
 			nf := append([]dataflow.ColFact(nil), colFacts...)
 			if replaceIdx >= 0 && replaceIdx < len(nf) {
@@ -670,19 +461,8 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			h := &opHandlers{}
 			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpMapColumn, udf: su.boxed, handlers: h, inSchema: schema, col: op.Col, colIdx: idx, scalar: true})
 			lastHandlers = h
-			mbk := &batchKernel{kind: bkMapColumn, su: su, ridx: ridx, scalar: true, colIdx: idx,
-				inCols: schema.Len(), outTypes: []types.Type{su.returnType()}}
-			nops = append(nops, compiledOp{ridx: ridx, batch: mbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					v, ec := callNormalUDF(ts, su, row, idx, true)
-					if ec != 0 {
-						ts.excOp = ridx
-						return ec
-					}
-					row[idx] = v
-					return next(ts, key, row)
-				}
-			}})
+			kernels = append(kernels, &batchKernel{kind: bkMapColumn, su: su, ridx: ridx, scalar: true, colIdx: idx,
+				inCols: schema.Len(), outTypes: []types.Type{su.returnType()}})
 			schema = schema.WithColumn(op.Col, su.returnType())
 			nf := append([]dataflow.ColFact(nil), colFacts...)
 			nf[idx] = dataflow.ColFact{Type: su.returnType()}
@@ -712,19 +492,8 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			colFacts = nf
 			schema = ns
 			sel := append([]int(nil), idx...)
-			selScratch := frameIdx
-			frameIdx++
 			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpSelect, sel: sel})
-			sbk := &batchKernel{kind: bkSelect, ridx: ridx, perm: sel}
-			nops = append(nops, compiledOp{ridx: ridx, batch: sbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					out := ts.opScratch(selScratch, len(sel))
-					for _, i := range sel {
-						out = append(out, row[i])
-					}
-					return next(ts, key, out)
-				}
-			}})
+			kernels = append(kernels, &batchKernel{kind: bkSelect, ridx: ridx, perm: sel})
 
 		case *logical.ResolveOp:
 			if lastHandlers == nil {
@@ -771,64 +540,13 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 				return nil, fmt.Errorf("core: join: no column %q in %s", op.LeftKey, schema)
 			}
 			outSchema := joinOutputSchema(schema, op, bt)
-			left := op.Left
-			bAdd := bt.addedCols
-			scratchIdx := frameIdx
-			frameIdx++ // reserve a scratch slot (no frame needed)
-			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpJoin, join: bt, keyIdx: keyIdx, leftOuter: left, inSchema: schema, outSchema: outSchema})
+			cs.boxed = append(cs.boxed, &boxedOp{kind: bOpJoin, join: bt, keyIdx: keyIdx, leftOuter: op.Left, inSchema: schema, outSchema: outSchema})
 			jOutTs := make([]types.Type, outSchema.Len())
 			for i := range jOutTs {
 				jOutTs[i] = outSchema.Col(i).Type
 			}
-			jbk := &batchKernel{kind: bkJoin, ridx: ridx, colIdx: keyIdx, join: bt, leftOuter: left,
-				inCols: schema.Len(), outTypes: jOutTs}
-			nops = append(nops, compiledOp{ridx: ridx, batch: jbk, make: func(next nstep) nstep {
-				return func(ts *task, key uint64, row rows.Row) ECode {
-					// Probe: encode the key into the task scratch buffer,
-					// hash, and look up the shard — no allocation. (The
-					// string(buf) map index below does not allocate; Go
-					// optimizes byte-slice map probes, and the general map
-					// is only consulted when exception build rows exist.)
-					buf, ok := rows.AppendJoinKey(ts.keyBuf[:0], row[keyIdx])
-					ts.keyBuf = buf
-					var matches []buildRef
-					if ok {
-						if bt.genCount > 0 && len(bt.general[string(buf)]) > 0 {
-							// Normal×exception join pairs run on the
-							// exception path (§4.5 pairwise joins).
-							ts.excOp = ridx
-							return pyvalue.ExcUnsupported
-						}
-						matches = bt.lookup(rows.Hash64(buf), buf)
-					}
-					if len(matches) == 0 {
-						ts.probeMisses++
-						if !left {
-							return 0
-						}
-						out := ts.opScratch(scratchIdx, cs.maxCols)
-						out = append(out, row...)
-						for range bAdd {
-							out = append(out, rows.Null())
-						}
-						return next(ts, key*256, out)
-					}
-					ts.probeHits++
-					for i, ref := range matches {
-						sub := uint64(i)
-						if sub > 255 {
-							sub = 255
-						}
-						out := ts.opScratch(scratchIdx, cs.maxCols)
-						out = append(out, row...)
-						out = bt.appendRow(out, ref)
-						if ec := next(ts, key*256+sub, out); ec != 0 {
-							return ec
-						}
-					}
-					return 0
-				}
-			}})
+			kernels = append(kernels, &batchKernel{kind: bkJoin, ridx: ridx, colIdx: keyIdx, join: bt, leftOuter: op.Left,
+				inCols: schema.Len(), outTypes: jOutTs})
 			nf := append([]dataflow.ColFact(nil), colFacts...)
 			for i := schema.Len(); i < outSchema.Len(); i++ {
 				nf = append(nf, dataflow.ColFact{Type: outSchema.Col(i).Type})
@@ -854,57 +572,7 @@ func (eng *engine) compileStage(st *physical.Stage, input *mat) (*compiledStage,
 			return nil, err
 		}
 	}
-	term, err := cs.makeTerminal()
-	if err != nil {
-		return nil, err
-	}
-	// Compose the chain back to front; at LevelRows every step (and the
-	// terminal) is preceded by its ledger counter. compose(from) builds
-	// the chain starting at op index from — compose(0) is the full row
-	// path, later starts serve as the batch plan's row-at-a-time suffix.
-	compose := func(from int) nstep {
-		entry := term
-		if cs.traceRows {
-			entry = routeWrap(entry, cs.termRouteIdx)
-		}
-		for i := len(nops) - 1; i >= from; i-- {
-			entry = nops[i].make(entry)
-			if cs.traceRows {
-				entry = routeWrap(entry, nops[i].ridx)
-			}
-		}
-		return entry
-	}
-	cs.entry = compose(0)
-
-	// Columnar batch plan: CSV and Parallelize sources compile the
-	// maximal prefix of batchable ops into kernels; anything after (plus
-	// non-batchable terminals) runs through the composed suffix via the
-	// row bridge. Adjacent per-row kernels group into fused passes that
-	// share one selection-vector scan.
-	if eng.opts.Columnar && ((cs.parse != nil && !cs.isText) || cs.inputSlots != nil) {
-		prefix := 0
-		for prefix < len(nops) && nops[prefix].batch != nil {
-			prefix++
-		}
-		kernels := make([]*batchKernel, prefix)
-		for i := range kernels {
-			kernels[i] = nops[i].batch
-		}
-		bp := &batchProg{kernels: kernels, groups: fuseKernels(kernels)}
-		batchTerm := cs.terminal == physical.TerminalSink || cs.terminal == physical.TerminalMaterialize ||
-			cs.terminal == physical.TerminalUnique || cs.terminal == physical.TerminalAggregate
-		if prefix < len(nops) || !batchTerm {
-			bp.suffix = compose(prefix)
-			// The stage barrier: rows reaching the end of the kernel
-			// prefix bounce to the composed row path at this ledger index.
-			bp.barrierIdx = cs.termRouteIdx
-			if prefix < len(nops) {
-				bp.barrierIdx = nops[prefix].ridx
-			}
-		}
-		cs.batch = bp
-	}
+	cs.batch = &batchProg{kernels: kernels, groups: fuseKernels(kernels)}
 	if cs.traceRows {
 		for _, bop := range cs.boxed {
 			bop.stats = &boxedOpStats{}
@@ -952,33 +620,6 @@ func terminalName(k physical.TerminalKind, sinkCSV bool) string {
 		}
 		return "collect"
 	}
-}
-
-// opScratch returns a reusable slot buffer for op i.
-func (ts *task) opScratch(i, capHint int) []rows.Slot {
-	for i >= len(ts.scratch) {
-		ts.scratch = append(ts.scratch, nil)
-	}
-	if cap(ts.scratch[i]) < capHint {
-		ts.scratch[i] = make([]rows.Slot, 0, capHint+8)
-	}
-	return ts.scratch[i][:0]
-}
-
-// callNormalUDF invokes a compiled UDF with either the whole row or one
-// column value.
-func callNormalUDF(ts *task, su *stageUDF, row rows.Row, colIdx int, scalar bool) (rows.Slot, ECode) {
-	if su.compiled == nil {
-		return rows.Slot{}, pyvalue.ExcUnsupported
-	}
-	fr := ts.frames[su.frameIdx]
-	var arg rows.Slot
-	if scalar {
-		arg = row[colIdx]
-	} else {
-		arg = rows.Tuple(row)
-	}
-	return su.compiled.Call1(fr, arg)
 }
 
 func (su *stageUDF) returnType() types.Type {
@@ -1176,7 +817,6 @@ func (eng *engine) prepareSource(cs *compiledStage, st *physical.Stage, input *m
 		proj := src.Projected()
 		fields, schema, idxs := projectedFields(plan, proj)
 		cs.parse = csvio.NewParseSpec(delim, plan.NumCols, fields, plan.Config.NullValues)
-		cs.nFields = len(fields)
 		cs.inSchema = schema
 		cs.srcFacts = seedColFacts(schema, plan.Stats, idxs)
 		cs.boxedInput = &mat{schema: plan.GeneralSchema}

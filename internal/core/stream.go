@@ -79,18 +79,33 @@ func (eng *engine) openStreamSource(pathSpec string, delim byte, header bool, mo
 	for i := range paths {
 		paths[i] = strings.TrimSpace(paths[i])
 	}
-	if eng.mon != nil {
-		// Known input size gives the progress view an ETA; the stat is
-		// skipped entirely on unmonitored runs.
-		for _, p := range paths {
-			if fi, err := os.Stat(p); err == nil {
-				eng.mon.AddTotalBytes(fi.Size())
-			}
-		}
-	}
 	size := eng.opts.ChunkSize
 	if size <= 0 {
 		size = csvio.DefaultChunkSize
+	}
+	// A chunk buffer larger than the largest file is never filled, so
+	// clamp it to that file's size plus one byte: every file that fit in
+	// one chunk still does, leaving partitions and order keys unchanged.
+	// Only a regular file's size bounds what a read returns (a pipe or
+	// device reports 0), so any other path keeps the configured size.
+	// Known input size also gives the progress view an ETA.
+	var maxFile int64
+	for _, p := range paths {
+		fi, err := os.Stat(p)
+		if err != nil || !fi.Mode().IsRegular() {
+			// The open below reports a stat error.
+			maxFile = int64(size)
+			if err != nil {
+				continue
+			}
+		}
+		maxFile = max(maxFile, fi.Size())
+		if eng.mon != nil {
+			eng.mon.AddTotalBytes(fi.Size())
+		}
+	}
+	if maxFile+1 < int64(size) {
+		size = int(maxFile + 1)
 	}
 	prod := &chunkProducer{
 		paths: paths,

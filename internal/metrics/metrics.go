@@ -96,16 +96,18 @@ func (j *Join) HitRate() float64 {
 	return float64(j.ProbeHits.Load()) / float64(n)
 }
 
-// Batch tallies the columnar batch plane: how many rows ran
-// column-at-a-time versus bounced to the row bridge at a stage barrier,
-// plus kernel-fusion and null-check-elision activity. Flushed per task.
+// Batch tallies the columnar batch plane, the engine's only normal-case
+// path: how many rows completed each stage's kernels, plus kernel-fusion
+// and null-check-elision activity. Rows that raise or fail
+// classification leave the plane for the exception path and are counted
+// in Counters instead. Flushed per task.
 type Batch struct {
-	// ColumnarRows counts row×kernel-group passes executed on the batch
-	// plane (a row surviving three fused groups counts three times, so
-	// the ratio to BouncedRows reflects actual columnar work done).
+	// ColumnarRows counts rows that completed a stage's kernels and
+	// reached its terminal (a row counts once per stage it passes; a
+	// join's fan-out rows count individually).
 	ColumnarRows atomic.Int64
-	// BouncedRows counts rows that left the batch plane at a stage
-	// barrier and finished on the compiled row bridge.
+	// BouncedRows is always 0: there is no row-at-a-time plane for rows
+	// to bounce to. The benchmark's per-layer report still reads it.
 	BouncedRows atomic.Int64
 	// FusedPasses counts fused kernel-group executions (one scan over a
 	// batch's selection vector, however many adjacent ops it covers).
@@ -250,9 +252,9 @@ func (m *Metrics) String() string {
 			fmt.Fprintf(&sb, " general=%d", n)
 		}
 	}
-	if b := &m.Batch; b.ColumnarRows.Load() > 0 || b.BouncedRows.Load() > 0 {
-		fmt.Fprintf(&sb, " | batch: columnar=%d bounced=%d fused_passes=%d elision=%.2f",
-			b.ColumnarRows.Load(), b.BouncedRows.Load(), b.FusedPasses.Load(), b.ElisionRate())
+	if b := &m.Batch; b.ColumnarRows.Load() > 0 {
+		fmt.Fprintf(&sb, " | batch: columnar=%d fused_passes=%d elision=%.2f",
+			b.ColumnarRows.Load(), b.FusedPasses.Load(), b.ElisionRate())
 	}
 	for _, s := range m.Stage {
 		if s.Records == 0 && s.Bytes == 0 {

@@ -445,6 +445,10 @@ func (c *checker) checkOptions(p *spec.Pipeline, prefix string) {
 		c.addf(CodeNoopOption, SevInfo, path, "", "",
 			"chunk_size=%d has no effect with streaming disabled", o.ChunkSize)
 	}
+	if o.Columnar != nil {
+		c.addf(CodeNoopOption, SevInfo, path, "", "",
+			"columnar=%v has no effect: every stage runs on the columnar batch plane", *o.Columnar)
+	}
 	if o.SampleSize > 0 && o.SampleSize < 2 {
 		c.addf(CodeNoopOption, SevInfo, path, "", "",
 			"sample_size=%d gives the sampler a single row; normal-case inference degenerates", o.SampleSize)

@@ -332,9 +332,6 @@ func (o *Options) resolve() core.Options {
 	if o.Streaming != nil {
 		opts.Streaming = *o.Streaming
 	}
-	if o.Columnar != nil {
-		opts.Columnar = *o.Columnar
-	}
 	if o.ChunkSize > 0 {
 		opts.ChunkSize = o.ChunkSize
 	}

@@ -170,7 +170,6 @@ func fromOptions(o core.Options) *Options {
 		CompilerOptimizations: b(o.Codegen.Specialize),
 		Seed:                  o.Seed,
 		Streaming:             b(o.Streaming),
-		Columnar:              b(o.Columnar),
 		ChunkSize:             o.ChunkSize,
 	}
 }

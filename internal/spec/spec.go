@@ -117,20 +117,23 @@ type Sink struct {
 // toggles are pointers so "absent" keeps the engine default (most
 // default to on).
 type Options struct {
-	Executors             int      `json:"executors,omitempty"`
-	PartitionRows         int      `json:"partition_rows,omitempty"`
-	SampleSize            int      `json:"sample_size,omitempty"`
-	NullThreshold         float64  `json:"null_threshold,omitempty"`
-	NullOptimization      *bool    `json:"null_optimization,omitempty"`
-	ProjectionPushdown    *bool    `json:"projection_pushdown,omitempty"`
-	FilterPushdown        *bool    `json:"filter_pushdown,omitempty"`
-	JoinReorder           *bool    `json:"join_reorder,omitempty"`
-	StageFusion           *bool    `json:"stage_fusion,omitempty"`
-	CompilerOptimizations *bool    `json:"compiler_optimizations,omitempty"`
-	Seed                  uint64   `json:"seed,omitempty"`
-	Streaming             *bool    `json:"streaming,omitempty"`
-	Columnar              *bool    `json:"columnar,omitempty"`
-	ChunkSize             int      `json:"chunk_size,omitempty"`
+	Executors             int     `json:"executors,omitempty"`
+	PartitionRows         int     `json:"partition_rows,omitempty"`
+	SampleSize            int     `json:"sample_size,omitempty"`
+	NullThreshold         float64 `json:"null_threshold,omitempty"`
+	NullOptimization      *bool   `json:"null_optimization,omitempty"`
+	ProjectionPushdown    *bool   `json:"projection_pushdown,omitempty"`
+	FilterPushdown        *bool   `json:"filter_pushdown,omitempty"`
+	JoinReorder           *bool   `json:"join_reorder,omitempty"`
+	StageFusion           *bool   `json:"stage_fusion,omitempty"`
+	CompilerOptimizations *bool   `json:"compiler_optimizations,omitempty"`
+	Seed                  uint64  `json:"seed,omitempty"`
+	Streaming             *bool   `json:"streaming,omitempty"`
+	ChunkSize             int     `json:"chunk_size,omitempty"`
+	// Columnar is accepted so older v1 specs keep decoding. It has no
+	// effect: the engine has one (columnar) normal-case plane. Build
+	// ignores it and Encode never writes it.
+	Columnar *bool `json:"columnar,omitempty"`
 }
 
 // knownOpKinds lists every operator kind Build accepts, for error
@@ -321,6 +324,11 @@ func childPath(path, field string) string {
 func (p *Pipeline) Encode() ([]byte, error) {
 	cp := *p
 	cp.V = Version
+	if cp.Options != nil && cp.Options.Columnar != nil {
+		o := *cp.Options
+		o.Columnar = nil
+		cp.Options = &o
+	}
 	out, err := json.Marshal(&cp)
 	if err != nil {
 		return nil, fmt.Errorf("spec: encoding pipeline: %w", err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -261,6 +262,49 @@ func TestBuildAndExecute(t *testing.T) {
 	}
 }
 
+// TestColumnarOptionIsDecodeOnly: v1 specs written while the engine
+// had a row-at-a-time plane may still carry "columnar"; they decode,
+// build the same options either way, and re-encode without the field.
+func TestColumnarOptionIsDecodeOnly(t *testing.T) {
+	const tmpl = `{"v": 1,
+		"source": {"kind": "parallelize", "columns": ["a"], "rows": [[1], [2]]},
+		"options": {"executors": 1%s}}`
+	base, err := Decode([]byte(fmt.Sprintf(tmpl, "")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := base.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []string{"true", "false"} {
+		p, err := Decode([]byte(fmt.Sprintf(tmpl, `, "columnar": `+v)))
+		if err != nil {
+			t.Fatalf("columnar=%s: decode: %v", v, err)
+		}
+		if p.Options.Columnar == nil {
+			t.Fatalf("columnar=%s: field not decoded", v)
+		}
+		b, err := p.Build()
+		if err != nil {
+			t.Fatalf("columnar=%s: build: %v", v, err)
+		}
+		if !reflect.DeepEqual(b.Opts, want.Opts) {
+			t.Fatalf("columnar=%s: options differ:\n got %+v\nwant %+v", v, b.Opts, want.Opts)
+		}
+		enc, err := p.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(enc), "columnar") {
+			t.Fatalf("columnar=%s: re-encoded spec keeps the field: %s", v, enc)
+		}
+		if p.Options.Columnar == nil {
+			t.Fatalf("columnar=%s: Encode mutated the decoded spec", v)
+		}
+	}
+}
+
 // TestAggregateSinkBuilds checks the fold is appended to the chain.
 func TestAggregateSinkBuilds(t *testing.T) {
 	b, err := aggregatePipeline().Build()
@@ -358,7 +402,6 @@ func TestOptionsRoundTrip(t *testing.T) {
 	mod := core.DefaultOptions()
 	mod.Executors = 8
 	mod.Streaming = false
-	mod.Columnar = false
 	mod.Fusion = false
 	mod.Sample.Size = 123
 	mod.Seed = 42

@@ -136,9 +136,9 @@ type RunReport struct {
 	ResolveP50NS int64 `json:"resolve_p50_ns"`
 	ResolveP99NS int64 `json:"resolve_p99_ns"`
 
-	// Columnar batch-plane activity (0 when the run is row-at-a-time).
+	// Columnar batch-plane activity: rows that completed a stage's
+	// kernels, fused kernel passes and the null-check elision rate.
 	ColumnarRows    int64   `json:"columnar_rows"`
-	BouncedRows     int64   `json:"bounced_rows"`
 	FusedPasses     int64   `json:"fused_passes"`
 	NullElisionRate float64 `json:"null_elision_rate"`
 
@@ -263,7 +263,6 @@ func runReport(m *RunMonitor, live bool, maxSamples int) RunReport {
 	if mm := m.m; mm != nil {
 		b := &mm.Batch
 		r.ColumnarRows = b.ColumnarRows.Load()
-		r.BouncedRows = b.BouncedRows.Load()
 		r.FusedPasses = b.FusedPasses.Load()
 		r.NullElisionRate = b.ElisionRate()
 	}

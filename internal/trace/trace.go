@@ -135,16 +135,13 @@ type OpRouting struct {
 	// ignore() handler dropped / that no path could process.
 	Ignored int64 `json:"ignored"`
 	Failed  int64 `json:"failed"`
-	// Bounced counts rows that left the columnar batch plane at this
-	// operator (the stage barrier) and finished on the row bridge.
-	Bounced int64 `json:"bounced,omitempty"`
 }
 
 // Zero reports whether the entry recorded no activity.
 func (r OpRouting) Zero() bool {
 	return r.NormalIn == 0 && r.NormalExc == 0 && r.GeneralIn == 0 && r.FallbackIn == 0 &&
 		r.GeneralResolved == 0 && r.FallbackResolved == 0 && r.ResolverResolved == 0 &&
-		r.Ignored == 0 && r.Failed == 0 && r.Bounced == 0
+		r.Ignored == 0 && r.Failed == 0
 }
 
 // ExcSample is one retained exception row (LevelSamples).

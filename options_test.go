@@ -10,18 +10,17 @@ import (
 	"github.com/gotuplex/tuplex/internal/core"
 )
 
-// TestOptionPairsEquivalent proves each parameterized option and its
-// deprecated Without* wrapper configure the engine identically.
+// TestOptionPairsEquivalent proves each parameterized option's true
+// form keeps the engine defaults and its false form changes them.
 func TestOptionPairsEquivalent(t *testing.T) {
 	pairs := []struct {
 		name string
 		off  Option // parameterized form, disabled
-		dep  Option // deprecated Without* wrapper
 		on   Option // parameterized form, enabled (must match defaults)
 	}{
-		{"null-optimization", WithNullOptimization(false), WithoutNullOptimization(), WithNullOptimization(true)},
-		{"stage-fusion", WithStageFusion(false), WithoutStageFusion(), WithStageFusion(true)},
-		{"compiler-optimizations", WithCompilerOptimizations(false), WithoutCompilerOptimizations(), WithCompilerOptimizations(true)},
+		{"null-optimization", WithNullOptimization(false), WithNullOptimization(true)},
+		{"stage-fusion", WithStageFusion(false), WithStageFusion(true)},
+		{"compiler-optimizations", WithCompilerOptimizations(false), WithCompilerOptimizations(true)},
 	}
 	apply := func(opt Option) core.Options {
 		o := core.DefaultOptions()
@@ -30,10 +29,7 @@ func TestOptionPairsEquivalent(t *testing.T) {
 	}
 	def := core.DefaultOptions()
 	for _, p := range pairs {
-		off, dep, on := apply(p.off), apply(p.dep), apply(p.on)
-		if !reflect.DeepEqual(off, dep) {
-			t.Errorf("%s: With*(false) != Without*():\n%+v\nvs\n%+v", p.name, off, dep)
-		}
+		off, on := apply(p.off), apply(p.on)
 		if reflect.DeepEqual(off, def) {
 			t.Errorf("%s: With*(false) did not change the defaults", p.name)
 		}

@@ -118,9 +118,6 @@ type OpRouting struct {
 	// ignore() handler dropped / that no path could process.
 	Ignored int64 `json:"ignored"`
 	Failed  int64 `json:"failed"`
-	// Bounced counts rows that left the columnar batch plane at this
-	// operator (the stage barrier) and finished on the row bridge.
-	Bounced int64 `json:"bounced,omitempty"`
 }
 
 // ExceptionSample is one retained exception row (TraceSamples).
@@ -278,7 +275,6 @@ func renderSpan(sb *strings.Builder, s *Span, head, tail string) {
 		writeCount(sb, "resolver_ok", r.ResolverResolved)
 		writeCount(sb, "ignored", r.Ignored)
 		writeCount(sb, "failed", r.Failed)
-		writeCount(sb, "bounced", r.Bounced)
 		sb.WriteByte('\n')
 	}
 	for _, e := range s.Samples {

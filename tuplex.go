@@ -95,11 +95,6 @@ func WithNullOptimization(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Sample.DisableNullOpt = !on }}
 }
 
-// WithoutNullOptimization disables normal-case null specialization.
-//
-// Deprecated: use WithNullOptimization(false).
-func WithoutNullOptimization() Option { return WithNullOptimization(false) }
-
 // WithoutLogicalOptimizations disables filter/projection pushdown and
 // join reordering.
 func WithoutLogicalOptimizations() Option {
@@ -123,23 +118,12 @@ func WithStageFusion(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Fusion = on }}
 }
 
-// WithoutStageFusion makes every UDF operator an optimization barrier.
-//
-// Deprecated: use WithStageFusion(false).
-func WithoutStageFusion() Option { return WithStageFusion(false) }
-
 // WithCompilerOptimizations toggles specialized fast-path code
 // generation. When false, the fast path uses generic boxed dispatch —
 // the "LLVM optimizers disabled" arm of Fig. 11. Default on.
 func WithCompilerOptimizations(on bool) Option {
 	return Option{apply: func(o *core.Options) { o.Codegen = codegen.Options{Specialize: on} }}
 }
-
-// WithoutCompilerOptimizations generates generic (boxed-dispatch) code
-// on the fast path.
-//
-// Deprecated: use WithCompilerOptimizations(false).
-func WithoutCompilerOptimizations() Option { return WithCompilerOptimizations(false) }
 
 // WithSeed seeds random.choice.
 func WithSeed(seed uint64) Option {
@@ -163,17 +147,6 @@ func WithStreamingIngest(on bool) Option {
 // expose more parallelism at the cost of per-task overhead.
 func WithChunkSize(n int) Option {
 	return Option{apply: func(o *core.Options) { o.ChunkSize = n }}
-}
-
-// WithColumnarExecution toggles the columnar batch data plane (default
-// on). When on, CSV sources parse straight into column vectors and the
-// normal-case prefix of each stage runs as batch kernels over those
-// vectors; rows that reject or raise bounce to the boxed row path, so
-// results and exception accounting are identical either way. Turn it
-// off to force the row-at-a-time plane (mainly for differential
-// testing).
-func WithColumnarExecution(on bool) Option {
-	return Option{apply: func(o *core.Options) { o.Columnar = on }}
 }
 
 // Context owns configuration and is the entry point for pipelines,

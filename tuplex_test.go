@@ -473,7 +473,7 @@ func TestStageFusionAblationSameResults(t *testing.T) {
 			Filter(UDF("lambda x: x['w'] > 4")))
 	}
 	fused := run()
-	unfused := run(WithoutStageFusion())
+	unfused := run(WithStageFusion(false))
 	if fmt.Sprint(fused.Rows) != fmt.Sprint(unfused.Rows) {
 		t.Fatalf("fusion changed results: %v vs %v", fused.Rows, unfused.Rows)
 	}
@@ -491,7 +491,7 @@ func TestCompilerOptAblationSameResults(t *testing.T) {
 			MapColumn("s", UDF("lambda s: s.split(' ')[0].upper()")))
 	}
 	opt := run()
-	unopt := run(WithoutCompilerOptimizations())
+	unopt := run(WithCompilerOptimizations(false))
 	if fmt.Sprint(opt.Rows) != fmt.Sprint(unopt.Rows) {
 		t.Fatalf("codegen specialization changed results: %v vs %v", opt.Rows, unopt.Rows)
 	}
